@@ -1,9 +1,11 @@
 """Adapter from :class:`~repro.backends.protocol.SetBackend` to an engine.
 
 :func:`backend_engine` wraps a backend class in a function with the
-standard ``repro.reach.ENGINES`` signature, so non-BDD set
-representations inherit the whole harness for free: resource budgets
-and T.O./M.O./I.O. reporting through :class:`RunMonitor`, per-iteration
+standard ``repro.reach.ENGINES`` signature that drives a backend step
+through the shared fix-point driver
+(:func:`~repro.reach.driver.run_fixpoint`), so non-BDD set
+representations inherit the whole harness for free:
+resource budgets and T.O./M.O./I.O. reporting, per-iteration
 checkpoints with kill-resume (set payloads ride the checkpoint
 container's ``meta.extra`` slot as JSON), fault-injection hooks,
 sanitizer cadence, per-iteration tracing, and the fallback ladder /
@@ -45,8 +47,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional, Sequence, Type
 
 from ..bdd import BDD
-from ..errors import ResourceLimitError
-from ..obs import ensure_tracer
 from .protocol import SetBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,9 +62,91 @@ def backend_engine(backend_cls: Type[SetBackend]):
     """An ``ENGINES``-compatible engine function for ``backend_cls``."""
     # Imported here, not at module scope: ``repro.reach`` imports this
     # module to register the backend engines, so a top-level import of
-    # ``repro.reach.common`` would be circular when ``repro.backends``
-    # is imported first.
-    from ..reach.common import ReachResult, RunMonitor
+    # ``repro.reach.driver`` would be circular when ``repro.backends``
+    # is imported first.  For the same reason the step class, whose
+    # base lives there, is defined per backend in here.
+    from ..reach.driver import FixpointStep, run_fixpoint
+
+    class BackendStep(FixpointStep):
+        """The Kleene iteration ``R <- R | image(R)`` over one backend."""
+
+        engine = backend_cls.name
+
+        def __init__(self, circuit, initial_points, count_states, options):
+            self.bdd = BDD()  # the monitor's scratch manager
+            self.circuit = circuit
+            self.initial_points = initial_points
+            self.count_states = count_states
+            self.options = options
+            self.backend: Any = None
+            self.reached: Any = None
+            self.image_size = self.reached_size = self.peak_size = 0
+
+        def setup(self):
+            # Infeasible circuits (over the backend's structural caps)
+            # raise ResourceLimitError here: an M.O. result, not a crash.
+            self.backend = backend_cls.from_circuit(self.circuit, **self.options)
+            self.reached = self.backend.initial(self.initial_points)
+
+        def restore(self, snapshot):
+            payload = snapshot.meta.get("extra")
+            if not (isinstance(payload, dict) and "reached" in payload):
+                return None
+            self.reached = self.backend.from_payload(payload["reached"])
+            return snapshot.iteration
+
+        def iterate(self, iteration, tick):
+            backend = self.backend
+            tracer = self.tracer
+            with tracer.span("image"):
+                image = backend.image(self.reached)
+            with tracer.span("union"):
+                new_reached = backend.union(self.reached, image)
+            with tracer.span("fixpoint_test"):
+                fixed = backend.equal(new_reached, self.reached)
+            # On the fix point keep ``reached``: a final over-approximate
+            # image absorbed by the union must not taint the flag — the
+            # fix point certifies reached contains its own (true) image,
+            # so its exactness stands on its own construction history.
+            if not fixed:
+                self.reached = new_reached
+            self.image_size = backend.size(image)
+            self.reached_size = backend.size(self.reached)
+            if not fixed:
+                self.peak_size = max(
+                    self.peak_size, self.reached_size + self.image_size
+                )
+            return fixed
+
+        def payload(self):
+            return {"meta": {"reached": self.backend.to_payload(self.reached)}}
+
+        def sizes(self):
+            return {
+                "frontier_size": self.image_size,
+                "reached_size": self.reached_size,
+                "chi_size": self.reached_size,
+            }
+
+        def finish(self, result, monitor):
+            if not result.completed:
+                return
+            backend = self.backend
+            reached = self.reached
+            # peak_live_nodes is the cross-engine "peak representation"
+            # statistic; for backends that is the largest
+            # reached+frontier footprint any iteration held.
+            result.peak_live_nodes = max(self.peak_size, self.reached_size)
+            result.reached_size = self.reached_size
+            result.extra["backend"] = backend.name
+            result.extra["exact"] = bool(getattr(reached, "exact", True))
+            states = backend.count(reached)
+            if self.count_states:
+                result.num_states = states
+            if states <= ENUMERATION_CAP:
+                result.extra["reached_states"] = set(
+                    backend.enumerate_states(reached, ENUMERATION_CAP)
+                )
 
     def engine(
         circuit,
@@ -82,121 +164,11 @@ def backend_engine(backend_cls: Type[SetBackend]):
         # ``slots`` / ``space`` are BDD-layout concerns with no backend
         # analogue; accepted (the harness passes them) and ignored.
         del slots, space
-        tracer = ensure_tracer(tracer)
-        scratch = BDD()
-        tracer.attach(scratch)
-        tracer.bind(
-            engine=backend_cls.name, circuit=circuit.name, order=order_name
+        step = BackendStep(circuit, initial_points, count_states, options)
+        return run_fixpoint(
+            step, circuit.name, order_name, limits, checkpointer, tracer,
+            sanitize,
         )
-        monitor = RunMonitor(
-            scratch, limits, checkpointer, tracer=tracer, sanitize=sanitize
-        )
-        result = ReachResult(
-            engine=backend_cls.name,
-            circuit=circuit.name,
-            order=order_name,
-            completed=False,
-        )
-        iterations = 0
-        reached = None
-        backend = None
-        peak_size = 0
-        try:
-            # Inside the try: infeasible circuits (over the backend's
-            # structural caps) degrade to an M.O. result, not a crash.
-            with tracer.span("setup"):
-                backend = backend_cls.from_circuit(circuit, **options)
-                init = backend.initial(initial_points)
-            reached = init
-            snapshot = monitor.restore()
-            if snapshot is not None:
-                payload = snapshot.meta.get("extra")
-                if isinstance(payload, dict) and "reached" in payload:
-                    reached = backend.from_payload(payload["reached"])
-                    iterations = snapshot.iteration
-                    result.extra["resumed_from"] = snapshot.iteration
-            while True:
-                iterations += 1
-                tracer.begin_iteration(iterations)
-                with tracer.span("image"):
-                    image = backend.image(reached)
-                with tracer.span("union"):
-                    new_reached = backend.union(reached, image)
-                with tracer.span("fixpoint_test"):
-                    fixed = backend.equal(new_reached, reached)
-                if fixed:
-                    # Keep ``reached``: a final over-approximate image
-                    # absorbed by the union must not taint the flag —
-                    # the fix point certifies reached contains its own
-                    # (true) image, so its exactness stands on its own
-                    # construction history.
-                    if tracer.enabled:
-                        with tracer.span("telemetry"):
-                            image_size = backend.size(image)
-                            reached_size = backend.size(reached)
-                        tracer.end_iteration(
-                            iterations,
-                            frontier_size=image_size,
-                            reached_size=reached_size,
-                            chi_size=reached_size,
-                            fixpoint=True,
-                        )
-                    break
-                reached = new_reached
-                if monitor.want_checkpoint(iterations):
-                    monitor.save_state(
-                        iterations,
-                        meta={"reached": backend.to_payload(reached)},
-                    )
-                monitor.checkpoint((), iterations)
-                monitor.audit(iterations)
-                reached_size = backend.size(reached)
-                image_size = backend.size(image)
-                if reached_size + image_size > peak_size:
-                    peak_size = reached_size + image_size
-                if tracer.enabled:
-                    tracer.end_iteration(
-                        iterations,
-                        frontier_size=image_size,
-                        reached_size=reached_size,
-                        chi_size=reached_size,
-                    )
-            result.completed = True
-        except ResourceLimitError as error:
-            monitor.annotate(result, error, iterations)
-        except RecursionError:
-            monitor.annotate(
-                result,
-                ResourceLimitError("depth", "recursion limit exceeded"),
-                iterations,
-            )
-        result.iterations = iterations
-        with tracer.span("finalize"):
-            if monitor.sanitizer is not None:
-                result.extra["sanitizer"] = monitor.sanitizer.snapshot()
-            if result.completed and backend is not None and reached is not None:
-                # peak_live_nodes is the cross-engine "peak representation"
-                # statistic; for backends that is the largest
-                # reached+frontier footprint any iteration held.
-                result.peak_live_nodes = max(
-                    peak_size, backend.size(reached)
-                )
-                result.reached_size = backend.size(reached)
-                result.extra["backend"] = backend.name
-                result.extra["exact"] = bool(getattr(reached, "exact", True))
-                states = backend.count(reached)
-                if count_states:
-                    result.num_states = states
-                if states <= ENUMERATION_CAP:
-                    result.extra["reached_states"] = set(
-                        backend.enumerate_states(reached, ENUMERATION_CAP)
-                    )
-        # Captured after the finalize span, matching the BDD engines.
-        result.seconds = monitor.elapsed
-        if tracer.enabled:
-            result.extra["obs"] = tracer.summary()
-            tracer.finish(result)
-        return result
 
     engine.__name__ = "%s_reachability" % backend_cls.name
     engine.__qualname__ = engine.__name__

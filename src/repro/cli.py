@@ -1,6 +1,6 @@
 """Command-line interface: reachability analysis from the shell.
 
-``python -m repro reach <circuit> [options]`` runs one of the six
+``python -m repro reach <circuit> [options]`` runs one of the eight
 engines on a built-in circuit (surrogate suite, generator families,
 s27) or on an ISCAS'89 ``.bench`` file, and prints the Table-2-style
 statistics.  Long runs can be made fault-tolerant with

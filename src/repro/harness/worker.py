@@ -195,19 +195,29 @@ def _close_inherited_sockets() -> None:
     (its FIN is ignored while a dup of the socket survives here), and
     a closed server keeps its port busy.  Only sockets are closed —
     multiprocessing's pipes and the result/checkpoint files stay up.
+
+    Each socket fd is overwritten with ``/dev/null`` (``dup2``) rather
+    than closed: the parent's socket *objects* live on in the child's
+    copy of memory, and when one is finalized it closes its fd number.
+    A closed number is reused by the next file the child opens (its
+    trace file), which that finalizer would then close underneath it.
     """
     try:
         fds = [int(name) for name in os.listdir("/proc/self/fd")]
     except (OSError, ValueError):  # pragma: no cover - no /proc
         return
-    for fd in fds:
-        if fd <= 2:
-            continue
-        try:
-            if stat.S_ISSOCK(os.fstat(fd).st_mode):
-                os.close(fd)
-        except OSError:
-            continue
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            if fd <= 2:
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:
+                continue
+    finally:
+        os.close(devnull)
 
 
 def _disarm_inherited_executors() -> None:

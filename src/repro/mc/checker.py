@@ -16,9 +16,9 @@ from typing import Dict, List, Optional, Sequence
 
 from ..bfv import BFV, from_characteristic, to_characteristic
 from ..bfv.ops import intersect
-from ..bfv.reparam import eliminate_params
 from ..errors import ReproError, ResourceLimitError
 from ..reach.common import ReachLimits, ReachSpace, RunMonitor
+from ..reach.image import SimulationImage, next_state_functions
 from ..sim.concrete import ConcreteSimulator
 from ..sim.symbolic import SymbolicSimulator
 
@@ -106,13 +106,7 @@ def check_invariant(
         # Property holds vacuously over the whole state space.
         return result
     bad_vec = from_characteristic(bdd, space.s_vars, bad_chi)
-
-    input_drivers = {
-        net: bdd.incref(bdd.var(v)) for net, v in space.input_var.items()
-    }
-    params = list(space.s_vars) + list(space.x_vars)
-    latch_order = list(circuit.latches)
-    rename_map = dict(zip(space.t_vars, space.s_vars))
+    simulation = SimulationImage(space, schedule)
 
     rings: List[BFV] = [BFV.point(bdd, space.s_vars, space.initial_point)]
     reached = rings[0]
@@ -126,21 +120,7 @@ def check_invariant(
                 violation_point = next(hit.enumerate())
                 break
             # Image of the current ring (Fig 2: simulate, reparameterize).
-            drivers = dict(input_drivers)
-            for net, comp in zip(space.state_order, ring.components):
-                drivers[net] = comp
-            raw_by_latch = simulator.next_state(drivers)
-            by_net = dict(zip(latch_order, raw_by_latch))
-            raw = [by_net[n] for n in space.state_order]
-            image_t = eliminate_params(
-                bdd, space.t_vars, raw, params, schedule
-            )
-            image = BFV(
-                bdd,
-                space.s_vars,
-                [bdd.rename(f, rename_map) for f in image_t],
-                validate=False,
-            )
+            image = simulation.reparameterize(simulation.simulate(ring.components))
             result.iterations += 1
             new_reached = image.union(reached)
             if new_reached == reached:
@@ -152,6 +132,8 @@ def check_invariant(
         result.completed = False
         result.failure = error.kind
         result.holds = False  # unknown, conservatively not proven
+    simulation.release()
+    bdd.decref(bad_chi)
     result.seconds = monitor.elapsed
     if count_states:
         result.num_states = reached.count()
@@ -169,11 +151,7 @@ def _reconstruct_trace(
 ) -> Trace:
     """Walk the onion rings backwards to a concrete input trace."""
     bdd = space.bdd
-    simulator = SymbolicSimulator(bdd, circuit)
-    drivers = {net: bdd.var(v) for net, v in space.input_var.items()}
-    drivers.update({net: bdd.var(v) for net, v in space.state_var.items()})
-    deltas_by_latch = simulator.next_state(drivers)
-    by_net = dict(zip(circuit.latches, deltas_by_latch))
+    by_net = next_state_functions(space, SymbolicSimulator(bdd, circuit))
     deltas = [by_net[n] for n in space.state_order]
 
     target = tuple(violation_point)

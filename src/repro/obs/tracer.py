@@ -335,6 +335,10 @@ class Tracer:
             if "cache_hit_rate" in sampled:
                 self._hit_rate_gauge.set(sampled["cache_hit_rate"])
         self._emit(record)
+        # Building and emitting the record is observer cost too; it
+        # lands in the run's breakdown (not in this record's phases).
+        t2 = self._clock()
+        self._record_span("telemetry", t2 - t1, t2 - t1)
 
     # ------------------------------------------------------------------
     # Events, summary, lifecycle

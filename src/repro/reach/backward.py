@@ -15,9 +15,54 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from ..errors import ResourceLimitError
-from ..sim.symbolic import SymbolicSimulator
-from .common import ReachLimits, ReachResult, ReachSpace, RunMonitor
-from .iwls95 import PartitionedRelation
+from .common import ReachLimits, ReachResult, ReachSpace
+from .driver import ChiStep, run_fixpoint
+from .image import transition_relation
+
+
+class BackwardStep(ChiStep):
+    engine = "backward"
+    result_key = "backward_chi"
+    target_states: Iterable[Sequence[bool]]
+    cluster_threshold: int
+
+    def setup(self):
+        space = self.space
+        bdd = self.bdd
+        self.relation = transition_relation(space, self.cluster_threshold)
+        declaration = list(space.circuit.latches)
+        index = {net: i for i, net in enumerate(declaration)}
+        target = bdd.false
+        for point in self.target_states:
+            cube = {
+                space.state_var[net]: bool(point[index[net]])
+                for net in space.state_order
+            }
+            target = bdd.or_(target, bdd.cube(cube))
+        self.start(target)
+
+    def iterate(self, iteration, tick):
+        bdd = self.bdd
+        space = self.space
+        # Lift the frontier to next-state variables and step back.
+        frontier_t = bdd.rename(
+            self.frontier, dict(zip(space.s_vars, space.t_vars))
+        )
+        predecessors = self.relation.pre_image(
+            frontier_t, space.t_vars, space.x_vars
+        )
+        new = bdd.diff(predecessors, self.reached)
+        if new == bdd.false:
+            return True
+        self.accumulate(new, new)
+        return False
+
+    def finish(self, result, monitor):
+        # Only the reached set outlives the run, so the frontier's pin
+        # goes before the final sweep.
+        self.bdd.decref(self.frontier)
+        self.frontier = self.bdd.false
+        super().finish(result, monitor)
 
 
 def backward_reachability(
@@ -37,84 +82,11 @@ def backward_reachability(
     characteristic function (over current-state variables) of the
     backward-reachable set, including the targets themselves.
     """
-    if space is None:
-        space = ReachSpace(circuit, slots)
-    bdd = space.bdd
-    simulator = SymbolicSimulator(bdd, circuit)
-    monitor = RunMonitor(bdd, limits)
-
-    deltas_by_latch = simulator.transition_functions(
-        dict(space.input_var), dict(space.state_var)
+    step = BackwardStep(
+        space or ReachSpace(circuit, slots), count_states, selection=False,
+        target_states=target_states, cluster_threshold=cluster_threshold,
     )
-    by_net = dict(zip(circuit.latches, deltas_by_latch))
-    parts = [
-        bdd.equiv(bdd.var(space.next_var[net]), by_net[net])
-        for net in space.state_order
-    ]
-    quantify = list(space.s_vars) + list(space.x_vars)
-    relation = PartitionedRelation(
-        bdd, parts, quantify, cluster_threshold=cluster_threshold
-    )
-
-    declaration = list(circuit.latches)
-    index = {net: i for i, net in enumerate(declaration)}
-    target = bdd.false
-    for point in target_states:
-        cube = {
-            space.state_var[net]: bool(point[index[net]])
-            for net in space.state_order
-        }
-        target = bdd.or_(target, bdd.cube(cube))
-
-    reached = bdd.incref(target)
-    frontier = bdd.incref(target)
-    iterations = 0
-    result = ReachResult(
-        engine="backward",
-        circuit=circuit.name,
-        order=order_name,
-        completed=False,
-    )
-    try:
-        while True:
-            iterations += 1
-            # Lift the frontier to next-state variables and step back.
-            frontier_t = bdd.rename(
-                frontier, dict(zip(space.s_vars, space.t_vars))
-            )
-            predecessors = relation.pre_image(
-                frontier_t, space.t_vars, space.x_vars
-            )
-            new = bdd.diff(predecessors, reached)
-            if new == bdd.false:
-                break
-            previous = reached
-            reached = bdd.incref(bdd.or_(reached, new))
-            bdd.decref(previous)
-            bdd.decref(frontier)
-            frontier = bdd.incref(new)
-            monitor.checkpoint((), iterations)
-        result.completed = True
-    except ResourceLimitError as error:
-        result.failure = error.kind
-    except RecursionError:
-        result.failure = "depth"
-    result.iterations = iterations
-    # The frontier's pin is ours alone; only `reached` outlives this
-    # function (via result.extra), so release the frontier before the
-    # final sweep.
-    bdd.decref(frontier)
-    bdd.collect_garbage()
-    result.peak_live_nodes = max(monitor.peak_live, bdd.count_live())
-    result.extra["cache"] = bdd.cache_stats()
-    result.reached_size = bdd.dag_size(reached)
-    if result.completed:
-        result.extra["space"] = space
-        result.extra["backward_chi"] = reached
-        if count_states:
-            result.num_states = space.states_of(reached)
-    result.seconds = monitor.elapsed
-    return result
+    return run_fixpoint(step, circuit.name, order_name, limits)
 
 
 def can_reach(

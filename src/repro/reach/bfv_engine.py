@@ -19,14 +19,65 @@ and the reached set as the next from-set.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from ..bfv import BFV
-from ..bfv.reparam import eliminate_params
-from ..errors import ResourceLimitError
-from ..obs import ensure_tracer
-from ..sim.symbolic import SymbolicSimulator
-from .common import ReachLimits, ReachResult, ReachSpace, RunMonitor
+from .common import ReachLimits, ReachResult, ReachSpace
+from .driver import BddStep, run_fixpoint
+from .image import SimulationImage
+
+
+class BfvStep(BddStep):
+    """The Figure-2 loop; :meth:`wrap` / :meth:`unwrap` convert between a
+    vector and the reached set's form (here the same BFV)."""
+
+    engine = "bfv"
+    schedule: str
+    # The last image (vector and reached-set form), held like the sets:
+    # the pinned vectors alive at a collection decide what it frees.
+    image_vec: Any = None
+    image: Any = None
+
+    def wrap(self, vector):
+        return vector
+
+    def unwrap(self, reached):
+        return reached
+
+    def setup(self):
+        space = self.space
+        self.simulation = SimulationImage(space, self.schedule)
+        self.frontier = BFV.from_points(
+            self.bdd, space.s_vars, space.initial_point_set(self.initial_points)
+        )
+        self.reached = self.wrap(self.frontier)
+
+    def restore(self, snapshot):
+        self.reached = self.wrap(snapshot.vectors["reached"])
+        self.frontier = snapshot.vectors["frontier"]
+        return snapshot.iteration
+
+    def iterate(self, iteration, tick):
+        self.image_vec = self.simulation.image(self.tracer, self.frontier)
+        with self.tracer.span("union"):
+            self.image = image = self.wrap(self.image_vec)
+            new_reached = image.union(self.reached)
+        with self.tracer.span("fixpoint_test"):
+            if new_reached == self.reached:
+                return True
+        self.reached = new_reached
+        if self.selection and image.shared_size() < new_reached.shared_size():
+            self.frontier = self.image_vec
+        else:
+            self.frontier = self.unwrap(new_reached)
+        return False
+
+    def payload(self):
+        vectors = {"reached": self.unwrap(self.reached), "frontier": self.frontier}
+        return {"vectors": vectors}
+
+    def audit_roots(self):
+        return {"vectors": (self.reached, self.frontier)}
 
 
 def bfv_reachability(
@@ -57,119 +108,10 @@ def bfv_reachability(
     iterations audit manager and vector invariants;
     ``result.extra['sanitizer']`` carries the audit counts.
     """
-    if space is None:
-        space = ReachSpace(circuit, slots)
-    bdd = space.bdd
-    tracer = ensure_tracer(tracer)
-    tracer.attach(bdd)
-    tracer.bind(engine="bfv", circuit=circuit.name, order=order_name)
-    monitor = RunMonitor(
-        bdd, limits, checkpointer, tracer=tracer, sanitize=sanitize
+    step = BfvStep(
+        space or ReachSpace(circuit, slots), count_states, initial_points,
+        selection_heuristic, schedule=schedule,
     )
-    with tracer.span("setup"):
-        simulator = SymbolicSimulator(bdd, circuit)
-        input_drivers = {
-            net: bdd.incref(bdd.var(v)) for net, v in space.input_var.items()
-        }
-        params = list(space.s_vars) + list(space.x_vars)
-        latch_order = list(circuit.latches)
-        rename_map = dict(zip(space.t_vars, space.s_vars))
-
-        init = BFV.from_points(
-            bdd, space.s_vars, space.initial_point_set(initial_points)
-        )
-    reached = init
-    frontier = init
-    iterations = 0
-    result = ReachResult(
-        engine="bfv", circuit=circuit.name, order=order_name, completed=False
+    return run_fixpoint(
+        step, circuit.name, order_name, limits, checkpointer, tracer, sanitize
     )
-    snapshot = monitor.restore()
-    if snapshot is not None:
-        reached = snapshot.vectors["reached"]
-        frontier = snapshot.vectors["frontier"]
-        iterations = snapshot.iteration
-        result.extra["resumed_from"] = snapshot.iteration
-    try:
-        while True:
-            iterations += 1
-            tracer.begin_iteration(iterations)
-            with tracer.span("image"):
-                drivers = dict(input_drivers)
-                for net, comp in zip(space.state_order, frontier.components):
-                    drivers[net] = comp
-                raw_by_latch = simulator.next_state(drivers)
-                by_net = dict(zip(latch_order, raw_by_latch))
-                raw = [by_net[n] for n in space.state_order]
-            with tracer.span("reparam"):
-                image_t = eliminate_params(
-                    bdd, space.t_vars, raw, params, schedule
-                )
-                image_comps = [bdd.rename(f, rename_map) for f in image_t]
-                image = BFV(bdd, space.s_vars, image_comps, validate=False)
-            with tracer.span("union"):
-                new_reached = image.union(reached)
-            with tracer.span("fixpoint_test"):
-                fixed = new_reached == reached
-            if fixed:
-                if tracer.enabled:
-                    with tracer.span("telemetry"):
-                        frontier_size = frontier.shared_size()
-                        reached_size = reached.shared_size()
-                    tracer.end_iteration(
-                        iterations,
-                        frontier_size=frontier_size,
-                        reached_size=reached_size,
-                        fixpoint=True,
-                    )
-                break
-            reached = new_reached
-            if selection_heuristic and image.shared_size() < reached.shared_size():
-                frontier = image
-            else:
-                frontier = reached
-            if monitor.want_checkpoint(iterations):
-                monitor.save_state(
-                    iterations,
-                    vectors={"reached": reached, "frontier": frontier},
-                )
-            monitor.checkpoint((), iterations)
-            monitor.audit(iterations, vectors=(reached, frontier))
-            if tracer.enabled:
-                with tracer.span("telemetry"):
-                    frontier_size = frontier.shared_size()
-                    reached_size = reached.shared_size()
-                tracer.end_iteration(
-                    iterations,
-                    frontier_size=frontier_size,
-                    reached_size=reached_size,
-                )
-        result.completed = True
-    except ResourceLimitError as error:
-        monitor.annotate(result, error, iterations)
-    except RecursionError:
-        monitor.annotate(
-            result,
-            ResourceLimitError("depth", "recursion limit exceeded"),
-            iterations,
-        )
-    result.iterations = iterations
-    with tracer.span("finalize"):
-        bdd.collect_garbage()
-        result.peak_live_nodes = max(monitor.peak_live, bdd.count_live())
-        result.extra["cache"] = bdd.cache_stats()
-        result.reached_size = reached.shared_size()
-        if monitor.sanitizer is not None:
-            result.extra["sanitizer"] = monitor.sanitizer.snapshot()
-        if result.completed:
-            result.extra["space"] = space
-            result.extra["reached"] = reached
-            if count_states:
-                result.num_states = reached.count()
-    # Captured after the finalize span: every engine reports the same
-    # window, and traced phase self-times can never exceed it.
-    result.seconds = monitor.elapsed
-    if tracer.enabled:
-        result.extra["obs"] = tracer.summary()
-        tracer.finish(result)
-    return result

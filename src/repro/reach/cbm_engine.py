@@ -23,14 +23,74 @@ algorithms eliminate (compare Figures 1 and 2).
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
-from ..bfv import BFV, from_characteristic, to_characteristic
-from ..bfv.reparam import eliminate_params
-from ..errors import ResourceLimitError
-from ..obs import ensure_tracer
-from ..sim.symbolic import SymbolicSimulator
-from .common import ReachLimits, ReachResult, ReachSpace, RunMonitor
+from ..bfv import from_characteristic, to_characteristic
+from .common import ReachLimits, ReachResult, ReachSpace
+from .driver import ChiStep, run_fixpoint
+from .image import SimulationImage, next_state_functions
+
+
+class CbmStep(ChiStep):
+    engine = "cbm"
+    schedule: str
+    image_method: str
+    deltas: Sequence[int] = ()
+    conversion = 0.0
+    # The last iteration's vectors, held like the sets: the pinned
+    # vectors alive at a collection decide what it frees.
+    from_vec: Any = None
+    image_vec: Any = None
+
+    def setup(self):
+        space = self.space
+        self.simulation = SimulationImage(space, self.schedule)
+        if self.image_method == "constrain":
+            by_net = next_state_functions(space, self.simulation.simulator)
+            self.deltas = [self.bdd.incref(by_net[n]) for n in space.state_order]
+        self.start(space.initial_chi(self.initial_points))
+
+    def convert(self, function, *args):
+        """``function(*args)``, timed as a representation conversion."""
+        with self.tracer.span("chi_conversion"):
+            t0 = time.monotonic()
+            converted = function(*args)
+            self.conversion += time.monotonic() - t0
+        return converted
+
+    def iterate(self, iteration, tick):
+        bdd = self.bdd
+        if self.image_method == "simulate":
+            # chi -> BFV conversion (the cost Figure 2 avoids).
+            self.from_vec = self.convert(
+                from_characteristic, bdd, self.space.s_vars, self.frontier
+            )
+            self.image_vec = self.simulation.image(self.tracer, self.from_vec)
+        else:
+            # Range computation [7]: generalized cofactor of each
+            # transition function by the from-set; the image is the
+            # range of the constrained vector.
+            with self.tracer.span("image"):
+                raw = [bdd.constrain(d, self.frontier) for d in self.deltas]
+            with self.tracer.span("reparam"):
+                self.image_vec = self.simulation.reparameterize(raw)
+        # BFV -> chi conversion.
+        return self.absorb(self.convert(to_characteristic, self.image_vec))
+
+    def audit_roots(self):
+        roots = super().audit_roots()
+        roots["vectors"] = (self.image_vec,)
+        return roots
+
+    def finish(self, result, monitor):
+        result.conversion_seconds = self.conversion
+        super().finish(result, monitor)
+
+    def release(self, completed):
+        super().release(completed)
+        for delta in self.deltas:
+            self.bdd.decref(delta)
+        self.deltas = ()
 
 
 def cbm_reachability(
@@ -59,159 +119,10 @@ def cbm_reachability(
     """
     if image_method not in ("simulate", "constrain"):
         raise ValueError("unknown image_method %r" % image_method)
-    if space is None:
-        space = ReachSpace(circuit, slots)
-    bdd = space.bdd
-    tracer = ensure_tracer(tracer)
-    tracer.attach(bdd)
-    tracer.bind(engine="cbm", circuit=circuit.name, order=order_name)
-    monitor = RunMonitor(
-        bdd, limits, checkpointer, tracer=tracer, sanitize=sanitize
+    step = CbmStep(
+        space or ReachSpace(circuit, slots), count_states, initial_points,
+        selection_heuristic, schedule=schedule, image_method=image_method,
     )
-    with tracer.span("setup"):
-        simulator = SymbolicSimulator(bdd, circuit)
-        input_drivers = {
-            net: bdd.incref(bdd.var(v)) for net, v in space.input_var.items()
-        }
-        params = list(space.s_vars) + list(space.x_vars)
-        latch_order = list(circuit.latches)
-        rename_map = dict(zip(space.t_vars, space.s_vars))
-
-        deltas = None
-        if image_method == "constrain":
-            deltas_by_latch = simulator.transition_functions(
-                dict(space.input_var), dict(space.state_var)
-            )
-            by_net = dict(zip(latch_order, deltas_by_latch))
-            deltas = [bdd.incref(by_net[n]) for n in space.state_order]
-
-        reached = bdd.incref(space.initial_chi(initial_points))
-        from_chi = bdd.incref(reached)
-    iterations = 0
-    conversion = 0.0
-    result = ReachResult(
-        engine="cbm", circuit=circuit.name, order=order_name, completed=False
+    return run_fixpoint(
+        step, circuit.name, order_name, limits, checkpointer, tracer, sanitize
     )
-    snapshot = monitor.restore()
-    if snapshot is not None:
-        # The restored handles arrive with their own pins; drop ours
-        # before adopting them or the initial-state refs leak for the
-        # whole resumed run.
-        bdd.decref(reached)
-        bdd.decref(from_chi)
-        reached = snapshot.functions["reached"]
-        from_chi = snapshot.functions["frontier"]
-        iterations = snapshot.iteration
-        result.extra["resumed_from"] = snapshot.iteration
-    try:
-        while True:
-            iterations += 1
-            tracer.begin_iteration(iterations)
-            if image_method == "simulate":
-                # chi -> BFV conversion (the cost Figure 2 avoids).
-                with tracer.span("chi_conversion"):
-                    t0 = time.monotonic()
-                    frontier = from_characteristic(bdd, space.s_vars, from_chi)
-                    conversion += time.monotonic() - t0
-                with tracer.span("image"):
-                    drivers = dict(input_drivers)
-                    for net, comp in zip(
-                        space.state_order, frontier.components
-                    ):
-                        drivers[net] = comp
-                    raw_by_latch = simulator.next_state(drivers)
-                    by_net = dict(zip(latch_order, raw_by_latch))
-                    raw = [by_net[n] for n in space.state_order]
-            else:
-                # Range computation [7]: generalized cofactor of each
-                # transition function by the from-set; the image is the
-                # range of the constrained vector.
-                with tracer.span("image"):
-                    raw = [
-                        bdd.constrain(delta, from_chi) for delta in deltas
-                    ]
-            with tracer.span("reparam"):
-                image_t = eliminate_params(
-                    bdd, space.t_vars, raw, params, schedule
-                )
-                image_comps = [bdd.rename(f, rename_map) for f in image_t]
-                image_vec = BFV(bdd, space.s_vars, image_comps, validate=False)
-            # BFV -> chi conversion.
-            with tracer.span("chi_conversion"):
-                t0 = time.monotonic()
-                image = to_characteristic(image_vec)
-                conversion += time.monotonic() - t0
-            with tracer.span("fixpoint_test"):
-                new = bdd.diff(image, reached)
-                fixed = new == bdd.false
-            if fixed:
-                if tracer.enabled:
-                    with tracer.span("telemetry"):
-                        frontier_size = bdd.dag_size(from_chi)
-                        reached_size = bdd.dag_size(reached)
-                    tracer.end_iteration(
-                        iterations,
-                        frontier_size=frontier_size,
-                        reached_size=reached_size,
-                        chi_size=reached_size,
-                        fixpoint=True,
-                    )
-                break
-            previous = reached
-            with tracer.span("union"):
-                reached = bdd.incref(bdd.or_(reached, image))
-            bdd.decref(previous)
-            bdd.decref(from_chi)
-            if selection_heuristic and bdd.dag_size(new) > bdd.dag_size(reached):
-                from_chi = bdd.incref(reached)
-            else:
-                from_chi = bdd.incref(new)
-            if monitor.want_checkpoint(iterations):
-                monitor.save_state(
-                    iterations,
-                    functions={"reached": reached, "frontier": from_chi},
-                )
-            monitor.checkpoint((), iterations)
-            monitor.audit(
-                iterations, roots=(reached, from_chi), vectors=(image_vec,)
-            )
-            if tracer.enabled:
-                with tracer.span("telemetry"):
-                    frontier_size = bdd.dag_size(from_chi)
-                    reached_size = bdd.dag_size(reached)
-                tracer.end_iteration(
-                    iterations,
-                    frontier_size=frontier_size,
-                    reached_size=reached_size,
-                    chi_size=reached_size,
-                )
-        result.completed = True
-    except ResourceLimitError as error:
-        monitor.annotate(result, error, iterations)
-    except RecursionError:
-        monitor.annotate(
-            result,
-            ResourceLimitError("depth", "recursion limit exceeded"),
-            iterations,
-        )
-    result.iterations = iterations
-    result.conversion_seconds = conversion
-    with tracer.span("finalize"):
-        bdd.collect_garbage()
-        result.peak_live_nodes = max(monitor.peak_live, bdd.count_live())
-        result.extra["cache"] = bdd.cache_stats()
-        result.reached_size = bdd.dag_size(reached)
-        if monitor.sanitizer is not None:
-            result.extra["sanitizer"] = monitor.sanitizer.snapshot()
-        if result.completed:
-            result.extra["space"] = space
-            result.extra["reached_chi"] = reached
-            if count_states:
-                result.num_states = space.states_of(reached)
-    # Captured after the finalize span: every engine reports the same
-    # window, and traced phase self-times can never exceed it.
-    result.seconds = monitor.elapsed
-    if tracer.enabled:
-        result.extra["obs"] = tracer.summary()
-        tracer.finish(result)
-    return result

@@ -226,9 +226,9 @@ class RunMonitor:
     * an optional *sanitizer* (``sanitize`` rate, see
       :class:`repro.analysis.sanitizer.Sanitizer`) audits the manager,
       the engines' accumulated vectors and loaded persisted state via
-      :meth:`audit` — engines call it right after :meth:`checkpoint`
-      so same-iteration corruption (including injected faults) is
-      caught before it propagates.
+      :meth:`audit` — the fix-point driver calls it right after
+      :meth:`checkpoint` so same-iteration corruption (including
+      injected faults) is caught before it propagates.
     """
 
     #: Process-global callbacks ``hook(monitor, iteration)`` fired at the
@@ -353,9 +353,9 @@ class RunMonitor:
     ) -> bool:
         """Run a sanitizer pass when one is attached and the stride hits.
 
-        Engines call this right after :meth:`checkpoint` with the
-        vectors / decompositions they are accumulating; it is a cheap
-        no-op when no ``--sanitize`` rate was configured.  Audit time is
+        The fix-point driver calls this right after :meth:`checkpoint`
+        with the vectors / decompositions an engine accumulates; it is a
+        cheap no-op when no ``--sanitize`` rate was configured.  Audit time is
         accounted under a ``sanitize`` tracer span.
         """
         sanitizer = self.sanitizer
@@ -432,62 +432,43 @@ class RunMonitor:
             # engines used before collection became budget-driven.  The
             # benchmark baseline sets this to reproduce the seed stack
             # end-to-end (see tests/bdd/reference_kernels.py).
-            with self.tracer.span("gc"):
-                bdd.collect_garbage(roots)
-                live = self._gc_live = bdd.count_live(roots)
-                self._audit_nodes = 0
-            if live > self.peak_live:
-                self.peak_live = live
+            live = self._collect(roots)
         elif budget is not None:
             if allocated <= budget:
                 live = allocated  # upper bound; exact count not needed
             elif allocated <= 5 * budget:
                 live = bdd.count_live(roots)  # mark-only budget check
-                if live > self.peak_live:
-                    self.peak_live = live
+                self.peak_live = max(self.peak_live, live)
             else:
-                with self.tracer.span("gc"):
-                    bdd.collect_garbage(roots)
-                    live = self._gc_live = bdd.count_live(roots)
-                    self._audit_nodes = 0
-                if live > self.peak_live:
-                    self.peak_live = live
+                live = self._collect(roots)
         elif allocated > max(self.gc_floor, 2 * self._gc_live):
-            with self.tracer.span("gc"):
-                bdd.collect_garbage(roots)
-                live = self._gc_live = bdd.count_live(roots)
-                self._audit_nodes = 0
-            if live > self.peak_live:
-                self.peak_live = live
+            live = self._collect(roots)
         else:
             live = allocated
-        if limits.max_live_nodes is not None and live > limits.max_live_nodes:
-            raise ResourceLimitError(
-                "memory",
-                "live nodes %d exceed budget" % live,
-                elapsed=self.elapsed,
-                iteration=iteration,
-                live_nodes=live,
-            )
-        if (
-            limits.max_seconds is not None
-            and self.elapsed > limits.max_seconds
-        ):
-            raise ResourceLimitError(
-                "time",
-                "time budget exceeded",
-                elapsed=self.elapsed,
-                iteration=iteration,
-                live_nodes=live,
-            )
-        if (
+        if budget is not None and live > budget:
+            kind, message = "memory", "live nodes %d exceed budget" % live
+        elif limits.max_seconds is not None and self.elapsed > limits.max_seconds:
+            kind, message = "time", "time budget exceeded"
+        elif (
             limits.max_iterations is not None
             and iteration >= limits.max_iterations
         ):
-            raise ResourceLimitError(
-                "iterations",
-                "iteration budget exceeded",
-                elapsed=self.elapsed,
-                iteration=iteration,
-                live_nodes=live,
-            )
+            kind, message = "iterations", "iteration budget exceeded"
+        else:
+            return
+        raise ResourceLimitError(
+            kind,
+            message,
+            elapsed=self.elapsed,
+            iteration=iteration,
+            live_nodes=live,
+        )
+
+    def _collect(self, roots: Sequence[int]) -> int:
+        """Collect under a ``gc`` span; returns (and peaks) the live count."""
+        with self.tracer.span("gc"):
+            self.bdd.collect_garbage(roots)
+            live = self._gc_live = self.bdd.count_live(roots)
+            self._audit_nodes = 0
+        self.peak_live = max(self.peak_live, live)
+        return live

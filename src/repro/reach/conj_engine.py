@@ -14,13 +14,27 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..bfv import BFV
 from ..bfv.conjunctive import ConjunctiveDecomposition
-from ..bfv.reparam import eliminate_params
-from ..errors import ResourceLimitError
-from ..obs import ensure_tracer
-from ..sim.symbolic import SymbolicSimulator
-from .common import ReachLimits, ReachResult, ReachSpace, RunMonitor
+from .bfv_engine import BfvStep
+from .common import ReachLimits, ReachResult, ReachSpace
+from .driver import run_fixpoint
+
+
+class ConjStep(BfvStep):
+    engine = "conj"
+    result_key = "reached_cd"
+
+    def wrap(self, vector):
+        return ConjunctiveDecomposition.from_bfv(vector)
+
+    def unwrap(self, reached):
+        return reached.to_bfv()
+
+    def audit_roots(self):
+        return {
+            "vectors": (self.image_vec, self.frontier),
+            "decompositions": (self.reached,),
+        }
 
 
 def conj_reachability(
@@ -43,132 +57,10 @@ def conj_reachability(
     the frontier, and the reached decomposition's constraint-view
     invariants; ``result.extra['sanitizer']`` carries the audit counts.
     """
-    if space is None:
-        space = ReachSpace(circuit, slots)
-    bdd = space.bdd
-    tracer = ensure_tracer(tracer)
-    tracer.attach(bdd)
-    tracer.bind(engine="conj", circuit=circuit.name, order=order_name)
-    monitor = RunMonitor(
-        bdd, limits, checkpointer, tracer=tracer, sanitize=sanitize
+    step = ConjStep(
+        space or ReachSpace(circuit, slots), count_states, initial_points,
+        selection_heuristic, schedule=schedule,
     )
-    with tracer.span("setup"):
-        simulator = SymbolicSimulator(bdd, circuit)
-        input_drivers = {
-            net: bdd.incref(bdd.var(v)) for net, v in space.input_var.items()
-        }
-        params = list(space.s_vars) + list(space.x_vars)
-        latch_order = list(circuit.latches)
-        rename_map = dict(zip(space.t_vars, space.s_vars))
-
-        init = BFV.from_points(
-            bdd, space.s_vars, space.initial_point_set(initial_points)
-        )
-        reached = ConjunctiveDecomposition.from_bfv(init)
-    frontier = init
-    iterations = 0
-    result = ReachResult(
-        engine="conj", circuit=circuit.name, order=order_name, completed=False
+    return run_fixpoint(
+        step, circuit.name, order_name, limits, checkpointer, tracer, sanitize
     )
-    snapshot = monitor.restore()
-    if snapshot is not None:
-        reached = ConjunctiveDecomposition.from_bfv(
-            snapshot.vectors["reached"]
-        )
-        frontier = snapshot.vectors["frontier"]
-        iterations = snapshot.iteration
-        result.extra["resumed_from"] = snapshot.iteration
-    try:
-        while True:
-            iterations += 1
-            tracer.begin_iteration(iterations)
-            with tracer.span("image"):
-                drivers = dict(input_drivers)
-                for net, comp in zip(space.state_order, frontier.components):
-                    drivers[net] = comp
-                raw_by_latch = simulator.next_state(drivers)
-                by_net = dict(zip(latch_order, raw_by_latch))
-                raw = [by_net[n] for n in space.state_order]
-            with tracer.span("reparam"):
-                image_t = eliminate_params(
-                    bdd, space.t_vars, raw, params, schedule
-                )
-                image_comps = [bdd.rename(f, rename_map) for f in image_t]
-                image_vec = BFV(bdd, space.s_vars, image_comps, validate=False)
-            with tracer.span("union"):
-                image = ConjunctiveDecomposition.from_bfv(image_vec)
-                new_reached = image.union(reached)
-            with tracer.span("fixpoint_test"):
-                fixed = new_reached == reached
-            if fixed:
-                if tracer.enabled:
-                    with tracer.span("telemetry"):
-                        frontier_size = frontier.shared_size()
-                        reached_size = reached.shared_size()
-                    tracer.end_iteration(
-                        iterations,
-                        frontier_size=frontier_size,
-                        reached_size=reached_size,
-                        fixpoint=True,
-                    )
-                break
-            reached = new_reached
-            if (
-                selection_heuristic
-                and image.shared_size() < reached.shared_size()
-            ):
-                frontier = image_vec
-            else:
-                frontier = reached.to_bfv()
-            if monitor.want_checkpoint(iterations):
-                monitor.save_state(
-                    iterations,
-                    vectors={
-                        "reached": reached.to_bfv(),
-                        "frontier": frontier,
-                    },
-                )
-            monitor.checkpoint((), iterations)
-            monitor.audit(
-                iterations,
-                vectors=(image_vec, frontier),
-                decompositions=(reached,),
-            )
-            if tracer.enabled:
-                with tracer.span("telemetry"):
-                    frontier_size = frontier.shared_size()
-                    reached_size = reached.shared_size()
-                tracer.end_iteration(
-                    iterations,
-                    frontier_size=frontier_size,
-                    reached_size=reached_size,
-                )
-        result.completed = True
-    except ResourceLimitError as error:
-        monitor.annotate(result, error, iterations)
-    except RecursionError:
-        monitor.annotate(
-            result,
-            ResourceLimitError("depth", "recursion limit exceeded"),
-            iterations,
-        )
-    result.iterations = iterations
-    with tracer.span("finalize"):
-        bdd.collect_garbage()
-        result.peak_live_nodes = max(monitor.peak_live, bdd.count_live())
-        result.extra["cache"] = bdd.cache_stats()
-        result.reached_size = reached.shared_size()
-        if monitor.sanitizer is not None:
-            result.extra["sanitizer"] = monitor.sanitizer.snapshot()
-        if result.completed:
-            result.extra["space"] = space
-            result.extra["reached_cd"] = reached
-            if count_states:
-                result.num_states = reached.count()
-    # Captured after the finalize span: every engine reports the same
-    # window, and traced phase self-times can never exceed it.
-    result.seconds = monitor.elapsed
-    if tracer.enabled:
-        result.extra["obs"] = tracer.summary()
-        tracer.finish(result)
-    return result

@@ -51,14 +51,14 @@ the checkpoint metadata to make resume exact.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..bfv import BFV
-from ..bfv.reparam import eliminate_params
-from ..errors import CircuitError, ResourceLimitError
-from ..obs import ensure_tracer
+from ..errors import CircuitError
 from ..sim.symbolic import SymbolicSimulator
-from .common import ReachLimits, ReachResult, ReachSpace, RunMonitor
+from .common import ReachLimits, ReachResult, ReachSpace
+from .driver import BddStep, ChiStep, run_fixpoint
+from .image import SimulationImage, next_state_functions
 from .iwls95 import PartitionedRelation
 
 #: Chaining schedules: ``static`` fires the IWLS95-scored order every
@@ -124,8 +124,8 @@ class _Partition:
         self.relation = relation
         self.support = support  # s-vars the relation actually reads
         self.nonsupport = nonsupport  # s-vars it ignores (projected away)
-        self.pending = None  # chi node or BFV; None/false = clean
-        self.fired = None  # chi engines: projection already fired on
+        self.pending: Any = None  # chi node or BFV; None/false = clean
+        self.fired: Any = None  # chi engines: projection already fired on
         self.fires = 0
         self.skips = 0
 
@@ -153,16 +153,321 @@ def sweep_order(order: Sequence[int], round_number: int, schedule: str) -> List[
     return list(order[shift:]) + list(order[:shift])
 
 
-def _chain_meta(round_number, position, fires, order) -> Dict[str, object]:
-    """Chaining position serialized into checkpoint metadata."""
-    return {
-        "sat": {
-            "round": round_number,
-            "position": position,
-            "fires": fires,
-            "order": list(order),
+class _Saturating(BddStep):
+    """The chaining shared by both saturation steps.
+
+    One driver iteration is one macro round: each partition, in the
+    round's sweep order, is saturated to a local fix point by
+    :meth:`saturate`, which ticks the driver after each fire.  The
+    chaining position rides in every checkpoint's metadata, so a resume
+    re-enters the sweep where the snapshot left it.
+    """
+
+    chained = True
+    chain_schedule: str
+    split_inputs: int
+    round = position = resume_position = 0
+
+    def __init__(self, space, *args, **options):
+        super().__init__(space, *args, **options)
+        if self.chain_schedule not in CHAIN_SCHEDULES:
+            raise CircuitError(
+                "unknown chain schedule %r (want one of %s)"
+                % (self.chain_schedule, ", ".join(CHAIN_SCHEDULES))
+            )
+        self.partitions: List[_Partition] = []
+        self.order: List[int] = []
+        self.split: List[int] = []
+
+    def split_inputs_of(self) -> Tuple[Dict[str, int], List[int]]:
+        """The transition functions, and the inputs left unsplit."""
+        space = self.space
+        by_net = next_state_functions(
+            space, SymbolicSimulator(self.bdd, space.circuit)
+        )
+        self.split, unsplit = split_input_vars(
+            self.bdd, by_net, space.state_order, space.x_vars,
+            self.split_inputs,
+        )
+        return by_net, unsplit
+
+    def restore_chain(self, snapshot) -> int:
+        chain = snapshot.meta.get("extra", {}).get("sat", {})
+        self.resume_position = int(chain.get("position", 0))
+        self.fires = int(chain.get("fires", snapshot.iteration))
+        return max(0, int(chain.get("round", 1)) - 1)
+
+    def chain_meta(self) -> Dict[str, object]:
+        return {
+            "sat": {
+                "round": self.round,
+                "position": self.position,
+                "fires": self.fires,
+                "order": list(self.order),
+            }
         }
-    }
+
+    def iterate(self, iteration, tick):
+        self.round = iteration
+        sweep = sweep_order(self.order, iteration, self.chain_schedule)
+        with self.tracer.span("saturate"):
+            for position in range(self.resume_position, len(sweep)):
+                self.position = position
+                self.saturate(self.partitions[sweep[position]], tick)
+        self.resume_position = 0
+        return self.clean()
+
+    def saturate(self, part: _Partition, tick: Callable[[int], None]) -> None:
+        raise NotImplementedError
+
+    def clean(self) -> bool:
+        raise NotImplementedError
+
+    def trace_round(self, tracer, iteration):
+        tracer.event(
+            "saturate",
+            iteration=iteration,
+            fires=[p.fires for p in self.partitions],
+            skips=[p.skips for p in self.partitions],
+            partitions=len(self.partitions),
+        )
+
+    def finish(self, result, monitor):
+        super().finish(result, monitor)
+        result.extra["saturation"] = {
+            "partitions": len(self.partitions),
+            "split_vars": len(self.split),
+            "schedule": self.chain_schedule,
+            "order": list(self.order),
+            "fires": [p.fires for p in self.partitions],
+            "skips": [p.skips for p in self.partitions],
+            "total_fires": self.fires,
+        }
+
+
+class SatStep(_Saturating, ChiStep):
+    engine = "sat"
+    cluster_threshold: int
+
+    def setup(self):
+        space = self.space
+        bdd = self.bdd
+        by_net, unsplit = self.split_inputs_of()
+        quantify = list(space.s_vars) + unsplit
+        for bits in itertools.product((False, True), repeat=len(self.split)):
+            cube = dict(zip(self.split, bits))
+            parts = []
+            for net in space.state_order:
+                delta = by_net[net]
+                if cube:
+                    delta = bdd.cofactor_cube(delta, cube)
+                parts.append(
+                    bdd.equiv(bdd.var(space.next_var[net]), delta)
+                )
+            relation = PartitionedRelation(
+                bdd, parts, quantify, cluster_threshold=self.cluster_threshold
+            )
+            read = set()
+            for cluster in relation.clusters:
+                read |= set(bdd.support(cluster))
+            support = sorted(set(space.s_vars) & read)
+            nonsupport = sorted(set(space.s_vars) - read)
+            self.partitions.append(
+                _Partition(cube, relation, support, nonsupport)
+            )
+        self.order = chain_order(bdd, self.partitions)
+
+        init = space.initial_chi(self.initial_points)
+        self.reached = bdd.incref(init)
+        for part in self.partitions:
+            part.pending = bdd.incref(init)
+            part.fired = bdd.false
+
+    def set_slot(self, part, attr, node):
+        self.bdd.incref(node)
+        self.bdd.decref(getattr(part, attr))
+        setattr(part, attr, node)
+
+    def restore(self, snapshot):
+        bdd = self.bdd
+        bdd.decref(self.reached)
+        self.reached = snapshot.functions["reached"]
+        for i, part in enumerate(self.partitions):
+            bdd.decref(part.pending)
+            part.pending = snapshot.functions["pend%02d" % i]
+            bdd.decref(part.fired)
+            part.fired = snapshot.functions["fired%02d" % i]
+        return self.restore_chain(snapshot)
+
+    def saturate(self, part, tick):
+        bdd = self.bdd
+        tracer = self.tracer
+        while part.pending != bdd.false:
+            with tracer.span("image"):
+                if self.selection:
+                    frontier = part.pending
+                    if part.nonsupport:
+                        frontier = bdd.exists(part.nonsupport, frontier)
+                    frontier = bdd.diff(frontier, part.fired)
+                    self.set_slot(part, "pending", bdd.false)
+                    if frontier == bdd.false:
+                        part.skips += 1
+                        return
+                    self.set_slot(part, "fired", bdd.or_(part.fired, frontier))
+                else:
+                    frontier = part.pending
+                    self.set_slot(part, "pending", bdd.false)
+                image = self.space.t_to_s(part.relation.image(frontier))
+            part.fires += 1
+            self.fires += 1
+            with tracer.span("fixpoint_test"):
+                new = bdd.diff(image, self.reached)
+            if new != bdd.false:
+                with tracer.span("union"):
+                    old = self.reached
+                    self.reached = bdd.incref(bdd.or_(old, new))
+                    bdd.decref(old)
+                    for other in self.partitions:
+                        if other is part:
+                            self.set_slot(part, "pending", new)
+                        else:
+                            self.set_slot(
+                                other, "pending", bdd.or_(other.pending, new)
+                            )
+            tick(self.fires)
+
+    def clean(self):
+        return all(p.pending == self.bdd.false for p in self.partitions)
+
+    def payload(self):
+        functions = {"reached": self.reached}
+        for i, part in enumerate(self.partitions):
+            functions["pend%02d" % i] = part.pending
+            functions["fired%02d" % i] = part.fired
+        return {"functions": functions, "meta": self.chain_meta()}
+
+    def audit_roots(self):
+        return {
+            "roots": [self.reached]
+            + [p.pending for p in self.partitions]
+            + [p.fired for p in self.partitions]
+        }
+
+    def sizes(self):
+        bdd = self.bdd
+        pending_union = bdd.false
+        for part in self.partitions:
+            pending_union = bdd.or_(pending_union, part.pending)
+        frontier_size = bdd.dag_size(pending_union)
+        reached_size = bdd.dag_size(self.reached)
+        return {
+            "frontier_size": frontier_size,
+            "reached_size": reached_size,
+            "chi_size": reached_size,
+        }
+
+    def release(self, completed):
+        super().release(completed)
+        for part in self.partitions:
+            part.relation.release()
+            self.bdd.decref(part.pending)
+            self.bdd.decref(part.fired)
+
+
+class BfvSatStep(_Saturating):
+    engine = "bfv-sat"
+    schedule: str
+    # The last fire's from-vector and image, held like the sets: the
+    # pinned vectors alive at a collection decide what it frees.
+    from_vec: Any = None
+    image: Any = None
+
+    def setup(self):
+        space = self.space
+        bdd = self.bdd
+        _, unsplit = self.split_inputs_of()
+        var_to_net = {v: net for net, v in space.input_var.items()}
+        self.simulation = SimulationImage(space, self.schedule, unsplit)
+        for bits in itertools.product((False, True), repeat=len(self.split)):
+            constants = {
+                var_to_net[v]: (bdd.true if value else bdd.false)
+                for v, value in zip(self.split, bits)
+            }
+            self.partitions.append(_Partition(constants, None, None, None))
+        self.order = list(range(len(self.partitions)))
+
+        self.reached = BFV.from_points(
+            bdd, space.s_vars, space.initial_point_set(self.initial_points)
+        )
+        for part in self.partitions:
+            part.pending = self.reached
+
+    def restore(self, snapshot):
+        self.reached = snapshot.vectors["reached"]
+        for i, part in enumerate(self.partitions):
+            pending = snapshot.vectors["pend%02d" % i]
+            part.pending = None if pending.is_empty else pending
+        return self.restore_chain(snapshot)
+
+    def saturate(self, part, tick):
+        tracer = self.tracer
+        while part.pending is not None:
+            self.from_vec = part.pending
+            part.pending = None
+            self.image = image = self.simulation.image(
+                tracer, self.from_vec, part.cube
+            )
+            part.fires += 1
+            self.fires += 1
+            with tracer.span("union"):
+                new_reached = image.union(self.reached)
+            with tracer.span("fixpoint_test"):
+                grew = new_reached != self.reached
+            if grew:
+                self.reached = new_reached
+                for other in self.partitions:
+                    if other is part:
+                        if (
+                            self.selection
+                            and new_reached.shared_size() < image.shared_size()
+                        ):
+                            part.pending = new_reached
+                        else:
+                            part.pending = image
+                    elif other.pending is None:
+                        other.pending = image
+                    else:
+                        other.pending = other.pending.union(image)
+            tick(self.fires)
+
+    def clean(self):
+        return all(p.pending is None for p in self.partitions)
+
+    def payload(self):
+        empty = BFV.empty(self.bdd, self.space.s_vars)
+        vectors = {"reached": self.reached}
+        for i, part in enumerate(self.partitions):
+            vectors["pend%02d" % i] = (
+                empty if part.pending is None else part.pending
+            )
+        return {"vectors": vectors, "meta": self.chain_meta()}
+
+    def audit_roots(self):
+        return {
+            "vectors": [self.reached]
+            + [p.pending for p in self.partitions if p.pending is not None]
+        }
+
+    def sizes(self):
+        frontier_size = sum(
+            p.pending.shared_size()
+            for p in self.partitions
+            if p.pending is not None
+        )
+        return {
+            "frontier_size": max(1, frontier_size),
+            "reached_size": self.reached.shared_size(),
+        }
 
 
 def sat_reachability(
@@ -193,222 +498,14 @@ def sat_reachability(
     chaining position are snapshotted at every fire, and the run
     resumes mid-chain from the latest valid snapshot.
     """
-    if chain_schedule not in CHAIN_SCHEDULES:
-        raise CircuitError(
-            "unknown chain schedule %r (want one of %s)"
-            % (chain_schedule, ", ".join(CHAIN_SCHEDULES))
-        )
-    if space is None:
-        space = ReachSpace(circuit, slots)
-    bdd = space.bdd
-    tracer = ensure_tracer(tracer)
-    tracer.attach(bdd)
-    tracer.bind(engine="sat", circuit=circuit.name, order=order_name)
-    monitor = RunMonitor(
-        bdd, limits, checkpointer, tracer=tracer, sanitize=sanitize
+    step = SatStep(
+        space or ReachSpace(circuit, slots), count_states, initial_points,
+        selection_heuristic, chain_schedule=chain_schedule,
+        split_inputs=split_inputs, cluster_threshold=cluster_threshold,
     )
-
-    with tracer.span("setup"):
-        simulator = SymbolicSimulator(bdd, circuit)
-        deltas_by_latch = simulator.transition_functions(
-            dict(space.input_var), dict(space.state_var)
-        )
-        by_net = dict(zip(circuit.latches, deltas_by_latch))
-        split, unsplit = split_input_vars(
-            bdd, by_net, space.state_order, space.x_vars, split_inputs
-        )
-        quantify = list(space.s_vars) + unsplit
-        partitions: List[_Partition] = []
-        for bits in itertools.product((False, True), repeat=len(split)):
-            cube = dict(zip(split, bits))
-            parts = []
-            for net in space.state_order:
-                delta = by_net[net]
-                if cube:
-                    delta = bdd.cofactor_cube(delta, cube)
-                parts.append(
-                    bdd.equiv(bdd.var(space.next_var[net]), delta)
-                )
-            relation = PartitionedRelation(
-                bdd, parts, quantify, cluster_threshold=cluster_threshold
-            )
-            read = set()
-            for cluster in relation.clusters:
-                read |= set(bdd.support(cluster))
-            support = sorted(set(space.s_vars) & read)
-            nonsupport = sorted(set(space.s_vars) - read)
-            partitions.append(_Partition(cube, relation, support, nonsupport))
-        order = chain_order(bdd, partitions)
-
-        init = space.initial_chi(initial_points)
-        reached = bdd.incref(init)
-        for part in partitions:
-            part.pending = bdd.incref(init)
-            part.fired = bdd.false
-
-    def set_slot(part, attr, node):
-        bdd.incref(node)
-        bdd.decref(getattr(part, attr))
-        setattr(part, attr, node)
-
-    rounds = 0
-    fires = 0
-    resume_position = 0
-    result = ReachResult(
-        engine="sat", circuit=circuit.name, order=order_name, completed=False
+    return run_fixpoint(
+        step, circuit.name, order_name, limits, checkpointer, tracer, sanitize
     )
-    snapshot = monitor.restore()
-    if snapshot is not None:
-        chain = snapshot.meta.get("extra", {}).get("sat", {})
-        bdd.decref(reached)
-        reached = snapshot.functions["reached"]
-        for i, part in enumerate(partitions):
-            bdd.decref(part.pending)
-            part.pending = snapshot.functions["pend%02d" % i]
-            bdd.decref(part.fired)
-            part.fired = snapshot.functions["fired%02d" % i]
-        rounds = max(0, int(chain.get("round", 1)) - 1)
-        resume_position = int(chain.get("position", 0))
-        fires = int(chain.get("fires", snapshot.iteration))
-        result.extra["resumed_from"] = snapshot.iteration
-
-    def save_position(round_number, position):
-        functions = {"reached": reached}
-        for i, part in enumerate(partitions):
-            functions["pend%02d" % i] = part.pending
-            functions["fired%02d" % i] = part.fired
-        monitor.save_state(
-            fires,
-            functions=functions,
-            meta=_chain_meta(round_number, position, fires, order),
-        )
-
-    try:
-        while True:
-            rounds += 1
-            tracer.begin_iteration(rounds)
-            sweep = sweep_order(order, rounds, chain_schedule)
-            with tracer.span("saturate"):
-                for position in range(resume_position, len(sweep)):
-                    part = partitions[sweep[position]]
-                    while part.pending != bdd.false:
-                        with tracer.span("image"):
-                            if selection_heuristic:
-                                frontier = part.pending
-                                if part.nonsupport:
-                                    frontier = bdd.exists(
-                                        part.nonsupport, frontier
-                                    )
-                                frontier = bdd.diff(frontier, part.fired)
-                                set_slot(part, "pending", bdd.false)
-                                if frontier == bdd.false:
-                                    part.skips += 1
-                                    break
-                                set_slot(
-                                    part,
-                                    "fired",
-                                    bdd.or_(part.fired, frontier),
-                                )
-                            else:
-                                frontier = part.pending
-                                set_slot(part, "pending", bdd.false)
-                            image = space.t_to_s(
-                                part.relation.image(frontier)
-                            )
-                        part.fires += 1
-                        fires += 1
-                        with tracer.span("fixpoint_test"):
-                            new = bdd.diff(image, reached)
-                        if new != bdd.false:
-                            with tracer.span("union"):
-                                old = reached
-                                reached = bdd.incref(bdd.or_(reached, new))
-                                bdd.decref(old)
-                                for other in partitions:
-                                    if other is part:
-                                        set_slot(part, "pending", new)
-                                    else:
-                                        set_slot(
-                                            other,
-                                            "pending",
-                                            bdd.or_(other.pending, new),
-                                        )
-                        if monitor.want_checkpoint(fires):
-                            save_position(rounds, position)
-                        monitor.checkpoint((), fires)
-            resume_position = 0
-            # Budgets are also enforced at round boundaries: a round of
-            # pure frontier-avoidance skips performs no fires, and the
-            # per-fire checks above would never run.
-            monitor.checkpoint((), fires)
-            fixed = all(p.pending == bdd.false for p in partitions)
-            monitor.audit(
-                fires,
-                roots=[reached]
-                + [p.pending for p in partitions]
-                + [p.fired for p in partitions],
-            )
-            if tracer.enabled:
-                with tracer.span("telemetry"):
-                    pending_union = bdd.false
-                    for part in partitions:
-                        pending_union = bdd.or_(pending_union, part.pending)
-                    frontier_size = bdd.dag_size(pending_union)
-                    reached_size = bdd.dag_size(reached)
-                tracer.event(
-                    "saturate",
-                    iteration=rounds,
-                    fires=[p.fires for p in partitions],
-                    skips=[p.skips for p in partitions],
-                    partitions=len(partitions),
-                )
-                tracer.end_iteration(
-                    rounds,
-                    frontier_size=frontier_size,
-                    reached_size=reached_size,
-                    chi_size=reached_size,
-                    fixpoint=fixed,
-                )
-            if fixed:
-                break
-        result.completed = True
-    except ResourceLimitError as error:
-        monitor.annotate(result, error, rounds)
-    except RecursionError:
-        monitor.annotate(
-            result,
-            ResourceLimitError("depth", "recursion limit exceeded"),
-            rounds,
-        )
-    result.iterations = rounds
-    with tracer.span("finalize"):
-        bdd.collect_garbage()
-        result.peak_live_nodes = max(monitor.peak_live, bdd.count_live())
-        result.extra["cache"] = bdd.cache_stats()
-        result.reached_size = bdd.dag_size(reached)
-        if monitor.sanitizer is not None:
-            result.extra["sanitizer"] = monitor.sanitizer.snapshot()
-        result.extra["saturation"] = {
-            "partitions": len(partitions),
-            "split_vars": len(split),
-            "schedule": chain_schedule,
-            "order": list(order),
-            "fires": [p.fires for p in partitions],
-            "skips": [p.skips for p in partitions],
-            "total_fires": fires,
-        }
-        if result.completed:
-            result.extra["space"] = space
-            result.extra["reached_chi"] = reached
-            if count_states:
-                result.num_states = space.states_of(reached)
-    # Captured after the finalize span so the traced phase self-times
-    # can never exceed the reported wall clock.
-    result.seconds = monitor.elapsed
-    if tracer.enabled:
-        result.extra["obs"] = tracer.summary()
-        tracer.finish(result)
-    return result
 
 
 def bfv_sat_reachability(
@@ -439,210 +536,11 @@ def bfv_sat_reachability(
     BFV.  ``selection_heuristic`` picks the smaller of the fire's image
     and its raw pending vector as the partition's next local frontier.
     """
-    if chain_schedule not in CHAIN_SCHEDULES:
-        raise CircuitError(
-            "unknown chain schedule %r (want one of %s)"
-            % (chain_schedule, ", ".join(CHAIN_SCHEDULES))
-        )
-    if space is None:
-        space = ReachSpace(circuit, slots)
-    bdd = space.bdd
-    tracer = ensure_tracer(tracer)
-    tracer.attach(bdd)
-    tracer.bind(engine="bfv-sat", circuit=circuit.name, order=order_name)
-    monitor = RunMonitor(
-        bdd, limits, checkpointer, tracer=tracer, sanitize=sanitize
+    step = BfvSatStep(
+        space or ReachSpace(circuit, slots), count_states, initial_points,
+        selection_heuristic, chain_schedule=chain_schedule,
+        split_inputs=split_inputs, schedule=schedule,
     )
-
-    with tracer.span("setup"):
-        simulator = SymbolicSimulator(bdd, circuit)
-        deltas_by_latch = simulator.transition_functions(
-            dict(space.input_var), dict(space.state_var)
-        )
-        by_net = dict(zip(circuit.latches, deltas_by_latch))
-        split, unsplit = split_input_vars(
-            bdd, by_net, space.state_order, space.x_vars, split_inputs
-        )
-        var_to_net = {v: net for net, v in space.input_var.items()}
-        latch_order = list(circuit.latches)
-        rename_map = dict(zip(space.t_vars, space.s_vars))
-        params = list(space.s_vars) + unsplit
-        input_drivers = {
-            net: bdd.incref(bdd.var(v))
-            for net, v in space.input_var.items()
-            if v in unsplit
-        }
-        partitions: List[_Partition] = []
-        for bits in itertools.product((False, True), repeat=len(split)):
-            cube = dict(zip(split, bits))
-            constants = {
-                var_to_net[v]: (bdd.true if value else bdd.false)
-                for v, value in cube.items()
-            }
-            partitions.append(_Partition(constants, None, None, None))
-        order = list(range(len(partitions)))
-
-        init = BFV.from_points(
-            bdd, space.s_vars, space.initial_point_set(initial_points)
-        )
-        reached = init
-        for part in partitions:
-            part.pending = init
-
-    rounds = 0
-    fires = 0
-    resume_position = 0
-    result = ReachResult(
-        engine="bfv-sat",
-        circuit=circuit.name,
-        order=order_name,
-        completed=False,
+    return run_fixpoint(
+        step, circuit.name, order_name, limits, checkpointer, tracer, sanitize
     )
-    empty = BFV.empty(bdd, space.s_vars)
-    snapshot = monitor.restore()
-    if snapshot is not None:
-        chain = snapshot.meta.get("extra", {}).get("sat", {})
-        reached = snapshot.vectors["reached"]
-        for i, part in enumerate(partitions):
-            pending = snapshot.vectors["pend%02d" % i]
-            part.pending = None if pending.is_empty else pending
-        rounds = max(0, int(chain.get("round", 1)) - 1)
-        resume_position = int(chain.get("position", 0))
-        fires = int(chain.get("fires", snapshot.iteration))
-        result.extra["resumed_from"] = snapshot.iteration
-
-    def save_position(round_number, position):
-        vectors = {"reached": reached}
-        for i, part in enumerate(partitions):
-            vectors["pend%02d" % i] = (
-                empty if part.pending is None else part.pending
-            )
-        monitor.save_state(
-            fires,
-            vectors=vectors,
-            meta=_chain_meta(round_number, position, fires, order),
-        )
-
-    def fire(part, from_vec):
-        """One Figure-2 step for one partition: sim, reparam, union."""
-        with tracer.span("image"):
-            drivers = dict(input_drivers)
-            drivers.update(part.cube)
-            for net, comp in zip(space.state_order, from_vec.components):
-                drivers[net] = comp
-            raw_by_latch = simulator.next_state(drivers)
-            raw_by_net = dict(zip(latch_order, raw_by_latch))
-            raw = [raw_by_net[n] for n in space.state_order]
-        with tracer.span("reparam"):
-            image_t = eliminate_params(
-                bdd, space.t_vars, raw, params, schedule
-            )
-            comps = [bdd.rename(f, rename_map) for f in image_t]
-            return BFV(bdd, space.s_vars, comps, validate=False)
-
-    try:
-        while True:
-            rounds += 1
-            tracer.begin_iteration(rounds)
-            sweep = sweep_order(order, rounds, chain_schedule)
-            with tracer.span("saturate"):
-                for position in range(resume_position, len(sweep)):
-                    part = partitions[sweep[position]]
-                    while part.pending is not None:
-                        from_vec = part.pending
-                        part.pending = None
-                        image = fire(part, from_vec)
-                        part.fires += 1
-                        fires += 1
-                        with tracer.span("union"):
-                            new_reached = image.union(reached)
-                        with tracer.span("fixpoint_test"):
-                            grew = new_reached != reached
-                        if grew:
-                            reached = new_reached
-                            for other in partitions:
-                                if other is part:
-                                    if (
-                                        selection_heuristic
-                                        and reached.shared_size()
-                                        < image.shared_size()
-                                    ):
-                                        part.pending = reached
-                                    else:
-                                        part.pending = image
-                                elif other.pending is None:
-                                    other.pending = image
-                                else:
-                                    other.pending = other.pending.union(
-                                        image
-                                    )
-                        if monitor.want_checkpoint(fires):
-                            save_position(rounds, position)
-                        monitor.checkpoint((), fires)
-            resume_position = 0
-            monitor.checkpoint((), fires)
-            fixed = all(p.pending is None for p in partitions)
-            monitor.audit(
-                fires,
-                vectors=[reached]
-                + [p.pending for p in partitions if p.pending is not None],
-            )
-            if tracer.enabled:
-                with tracer.span("telemetry"):
-                    frontier_size = sum(
-                        p.pending.shared_size()
-                        for p in partitions
-                        if p.pending is not None
-                    )
-                    reached_size = reached.shared_size()
-                tracer.event(
-                    "saturate",
-                    iteration=rounds,
-                    fires=[p.fires for p in partitions],
-                    skips=[p.skips for p in partitions],
-                    partitions=len(partitions),
-                )
-                tracer.end_iteration(
-                    rounds,
-                    frontier_size=max(1, frontier_size),
-                    reached_size=reached_size,
-                    fixpoint=fixed,
-                )
-            if fixed:
-                break
-        result.completed = True
-    except ResourceLimitError as error:
-        monitor.annotate(result, error, rounds)
-    except RecursionError:
-        monitor.annotate(
-            result,
-            ResourceLimitError("depth", "recursion limit exceeded"),
-            rounds,
-        )
-    result.iterations = rounds
-    with tracer.span("finalize"):
-        bdd.collect_garbage()
-        result.peak_live_nodes = max(monitor.peak_live, bdd.count_live())
-        result.extra["cache"] = bdd.cache_stats()
-        result.reached_size = reached.shared_size()
-        if monitor.sanitizer is not None:
-            result.extra["sanitizer"] = monitor.sanitizer.snapshot()
-        result.extra["saturation"] = {
-            "partitions": len(partitions),
-            "split_vars": len(split),
-            "schedule": chain_schedule,
-            "order": list(order),
-            "fires": [p.fires for p in partitions],
-            "skips": [p.skips for p in partitions],
-            "total_fires": fires,
-        }
-        if result.completed:
-            result.extra["space"] = space
-            result.extra["reached"] = reached
-            if count_states:
-                result.num_states = reached.count()
-    result.seconds = monitor.elapsed
-    if tracer.enabled:
-        result.extra["obs"] = tracer.summary()
-        tracer.finish(result)
-    return result

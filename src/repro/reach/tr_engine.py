@@ -11,11 +11,23 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..errors import ResourceLimitError
-from ..obs import ensure_tracer
-from ..sim.symbolic import SymbolicSimulator
-from .common import ReachLimits, ReachResult, ReachSpace, RunMonitor
-from .iwls95 import PartitionedRelation
+from .common import ReachLimits, ReachResult, ReachSpace
+from .driver import ChiStep, run_fixpoint
+from .image import transition_relation
+
+
+class TrStep(ChiStep):
+    engine = "tr"
+    cluster_threshold: int
+
+    def setup(self):
+        self.relation = transition_relation(self.space, self.cluster_threshold)
+        self.start(self.space.initial_chi(self.initial_points))
+
+    def iterate(self, iteration, tick):
+        with self.tracer.span("image"):
+            image = self.space.t_to_s(self.relation.image(self.frontier))
+        return self.absorb(image)
 
 
 def tr_reachability(
@@ -42,126 +54,10 @@ def tr_reachability(
     manager invariants (no vectors exist in this flow);
     ``result.extra['sanitizer']`` carries the audit counts.
     """
-    if space is None:
-        space = ReachSpace(circuit, slots)
-    bdd = space.bdd
-    tracer = ensure_tracer(tracer)
-    tracer.attach(bdd)
-    tracer.bind(engine="tr", circuit=circuit.name, order=order_name)
-    monitor = RunMonitor(
-        bdd, limits, checkpointer, tracer=tracer, sanitize=sanitize
+    step = TrStep(
+        space or ReachSpace(circuit, slots), count_states, initial_points,
+        selection_heuristic, cluster_threshold=cluster_threshold,
     )
-
-    with tracer.span("setup"):
-        simulator = SymbolicSimulator(bdd, circuit)
-        net_input_vars = {net: v for net, v in space.input_var.items()}
-        net_state_vars = {net: v for net, v in space.state_var.items()}
-        deltas_by_latch = simulator.transition_functions(
-            net_input_vars, net_state_vars
-        )
-        by_net = dict(zip(circuit.latches, deltas_by_latch))
-        parts = [
-            bdd.equiv(bdd.var(space.next_var[net]), by_net[net])
-            for net in space.state_order
-        ]
-        quantify = list(space.s_vars) + list(space.x_vars)
-        relation = PartitionedRelation(
-            bdd, parts, quantify, cluster_threshold=cluster_threshold
-        )
-
-        init = bdd.incref(space.initial_chi(initial_points))
-    reached = init
-    frontier = init
-    iterations = 0
-    result = ReachResult(
-        engine="tr", circuit=circuit.name, order=order_name, completed=False
+    return run_fixpoint(
+        step, circuit.name, order_name, limits, checkpointer, tracer, sanitize
     )
-    snapshot = monitor.restore()
-    if snapshot is not None:
-        # `reached` and `frontier` both alias `init`, whose single pin
-        # is dropped here; the restored handles arrive with their own.
-        bdd.decref(reached)
-        reached = snapshot.functions["reached"]
-        frontier = snapshot.functions["frontier"]
-        iterations = snapshot.iteration
-        result.extra["resumed_from"] = snapshot.iteration
-    try:
-        while True:
-            iterations += 1
-            tracer.begin_iteration(iterations)
-            with tracer.span("image"):
-                image_t = relation.image(frontier)
-                image = space.t_to_s(image_t)
-            with tracer.span("fixpoint_test"):
-                new = bdd.diff(image, reached)
-                fixed = new == bdd.false
-            if fixed:
-                if tracer.enabled:
-                    with tracer.span("telemetry"):
-                        frontier_size = bdd.dag_size(frontier)
-                        reached_size = bdd.dag_size(reached)
-                    tracer.end_iteration(
-                        iterations,
-                        frontier_size=frontier_size,
-                        reached_size=reached_size,
-                        chi_size=reached_size,
-                        fixpoint=True,
-                    )
-                break
-            previous = reached
-            with tracer.span("union"):
-                reached = bdd.incref(bdd.or_(reached, image))
-                bdd.decref(previous)
-                bdd.decref(frontier)
-                if selection_heuristic and bdd.dag_size(new) > bdd.dag_size(
-                    reached
-                ):
-                    frontier = bdd.incref(reached)
-                else:
-                    frontier = bdd.incref(new)
-            if monitor.want_checkpoint(iterations):
-                monitor.save_state(
-                    iterations,
-                    functions={"reached": reached, "frontier": frontier},
-                )
-            monitor.checkpoint((), iterations)
-            monitor.audit(iterations, roots=(reached, frontier))
-            if tracer.enabled:
-                with tracer.span("telemetry"):
-                    frontier_size = bdd.dag_size(frontier)
-                    reached_size = bdd.dag_size(reached)
-                tracer.end_iteration(
-                    iterations,
-                    frontier_size=frontier_size,
-                    reached_size=reached_size,
-                    chi_size=reached_size,
-                )
-        result.completed = True
-    except ResourceLimitError as error:
-        monitor.annotate(result, error, iterations)
-    except RecursionError:
-        monitor.annotate(
-            result,
-            ResourceLimitError("depth", "recursion limit exceeded"),
-            iterations,
-        )
-    result.iterations = iterations
-    with tracer.span("finalize"):
-        bdd.collect_garbage()
-        result.peak_live_nodes = max(monitor.peak_live, bdd.count_live())
-        result.extra["cache"] = bdd.cache_stats()
-        result.reached_size = bdd.dag_size(reached)
-        if monitor.sanitizer is not None:
-            result.extra["sanitizer"] = monitor.sanitizer.snapshot()
-        if result.completed:
-            result.extra["space"] = space
-            result.extra["reached_chi"] = reached
-            if count_states:
-                result.num_states = space.states_of(reached)
-    # Captured after the finalize span: every engine reports the same
-    # window, and traced phase self-times can never exceed it.
-    result.seconds = monitor.elapsed
-    if tracer.enabled:
-        result.extra["obs"] = tracer.summary()
-        tracer.finish(result)
-    return result

@@ -24,6 +24,7 @@ from .bdd import BDD
 from .circuits.netlist import Circuit
 from .errors import ReproError
 from .reach.common import ReachLimits, ReachSpace
+from .reach.image import next_state_functions
 from .reach.tr_engine import tr_reachability
 from .sim.symbolic import SymbolicSimulator
 
@@ -188,11 +189,7 @@ def minimize_with_reachability(
             % result.status
         )
     reached = result.extra["reached_chi"]
-    simulator = SymbolicSimulator(bdd, circuit)
-    deltas = simulator.transition_functions(
-        dict(space.input_var), dict(space.state_var)
-    )
-    by_net = dict(zip(circuit.latches, deltas))
+    by_net = next_state_functions(space, SymbolicSimulator(bdd, circuit))
     overrides: Dict[str, int] = {}
     before = after = 0
     for net, delta in by_net.items():

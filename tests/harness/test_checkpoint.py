@@ -1,6 +1,6 @@
 """Checkpoint round-trips: kill a run, resume it, get identical results.
 
-For each of the six engines: run under an iteration budget (the
+For each of the eight engines: run under an iteration budget (the
 interrupt), resume from the checkpoint directory, and require the final
 reached-set statistics to match an uninterrupted run exactly — the
 harness acceptance criterion.  Corrupt/torn files must be skipped in
@@ -19,8 +19,9 @@ from repro.harness.faults import corrupt_file
 
 #: For the saturation engines the interrupt tick is the *fire* count
 #: (chained image steps), not the macro round — the budget interrupts
-#: them mid-chain, which is exactly the resume path worth testing.
-ENGINES = ("bfv", "conj", "cbm", "tr", "sat", "bfv-sat")
+#: them mid-chain, which is exactly the resume path worth testing.  The
+#: backend engines checkpoint their set payload in the metadata.
+ENGINES = ("bfv", "conj", "cbm", "tr", "sat", "bfv-sat", "bitset", "zono")
 CIRCUIT = "traffic"  # 16 reachable states over 16 iterations: room to interrupt
 
 

@@ -128,3 +128,34 @@ class TestCrashResume:
         result = supervisor.run(AttemptSpec(circuit="s27"))
         assert not result.completed
         assert result.failure == "time"
+
+
+class TestInheritedSockets:
+    def test_stale_socket_objects_cannot_close_new_files(self, tmp_path):
+        """A forked child shuts the sockets it inherited; the parent's
+        socket objects, finalized later in the child, must not close a
+        file the child opened in between (its trace file)."""
+        import multiprocessing
+        import socket
+
+        from repro.harness.worker import _close_inherited_sockets
+
+        left, right = socket.socketpair()
+        path = str(tmp_path / "trace.txt")
+
+        def child():
+            _close_inherited_sockets()
+            with open(path, "w") as handle:
+                left.close()
+                right.close()
+                handle.write("ok")
+                handle.flush()
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(30)
+        left.close()
+        right.close()
+        assert process.exitcode == 0
+        with open(path) as handle:
+            assert handle.read() == "ok"
